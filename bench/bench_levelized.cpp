@@ -307,10 +307,46 @@ bool runOptBench(int width, uint64_t cycles, OptBenchResult& r) {
 // Multi-core farm scaling: the same design at 1/2/4 worker threads over
 // 4 blocks × 64 lanes.  The farm's determinism contract means every row
 // (and the scalar oracle) must produce the same merged checksum — the
-// thread sweep is also a differential test.  Scaling itself is only
-// meaningful when the host has the cores; BENCH_sim.json records
-// host_cores so the checker can gate the speedup assertion on it.
+// thread sweep is also a differential test.  Scaling is only meaningful
+// when each block is real work and the host has the cores, so every lane
+// runs a fixed kFarmCyclesPerLane (whatever --cycles says) and the block
+// records host_cores plus a spin-loop capacity probe: the throughput 4
+// threads get over 1 on this host, against which the checker judges the
+// farm's speedup.
 // ---------------------------------------------------------------------
+
+constexpr uint64_t kFarmCyclesPerLane = 1000;
+
+volatile uint64_t spinSink;
+
+/// Spin-loop throughput (iterations/s) of `threads` threads running the
+/// same register-only loop; no memory traffic, no shared state.
+double spinThroughput(size_t threads) {
+  constexpr uint64_t kIters = 20'000'000;
+  const Clock::time_point t0 = Clock::now();
+  std::vector<std::thread> pool;
+  for (size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([t] {
+      uint64_t x = 0x9E3779B97F4A7C15ull + t;
+      for (uint64_t i = 0; i < kIters; ++i) xorshift(x);
+      spinSink = x;
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+  return s > 0 ? static_cast<double>(threads * kIters) / s : 0;
+}
+
+/// The host's real 4-thread capacity: best-of-3 spin throughput at 4
+/// threads over best-of-3 at 1 thread.
+double spinCapacity4v1() {
+  double one = 0, four = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    one = std::max(one, spinThroughput(1));
+    four = std::max(four, spinThroughput(4));
+  }
+  return one > 0 ? four / one : 0;
+}
 
 struct FarmThreadRun {
   size_t threads = 0;
@@ -325,6 +361,7 @@ struct FarmBenchResult {
   size_t blocks = 0;
   uint64_t cyclesPerLane = 0;
   unsigned hostCores = 0;
+  double capacity4v1 = 0;  ///< spin-loop probe, 4 threads over 1
   std::vector<FarmThreadRun> runs;  ///< threads = 1, 2, 4
   uint64_t oracleChecksum = 0;
   /// Per-block wall times merged over the whole thread sweep, for the
@@ -338,14 +375,13 @@ struct FarmBenchResult {
   }
 };
 
-bool runFarmBench(const zeus::SimGraph& g, uint64_t totalCycles,
-                  FarmBenchResult& r) {
+bool runFarmBench(const zeus::SimGraph& g, FarmBenchResult& r) {
   r.lanes = 4 * zeus::BatchSimulation::kMaxLanes;
   r.lanesPerBlock = zeus::BatchSimulation::kMaxLanes;
   r.blocks = 4;
-  // Same lane-cycle volume as the 64-lane batch row, spread over 4 blocks.
-  r.cyclesPerLane = std::max<uint64_t>(1, totalCycles / r.lanes);
+  r.cyclesPerLane = kFarmCyclesPerLane;
   r.hostCores = std::thread::hardware_concurrency();
+  r.capacity4v1 = spinCapacity4v1();
   zeus::FarmOptions opts;
   opts.lanes = r.lanes;
   opts.cycles = r.cyclesPerLane;
@@ -465,7 +501,8 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
       << ", \"lanes_per_block\": " << farm.lanesPerBlock
       << ", \"blocks\": " << farm.blocks
       << ", \"cycles_per_lane\": " << farm.cyclesPerLane
-      << ", \"host_cores\": " << farm.hostCores << ",\n"
+      << ", \"host_cores\": " << farm.hostCores
+      << ", \"capacity_4_vs_1\": " << farm.capacity4v1 << ",\n"
       << "    \"threads\": [\n";
   for (size_t i = 0; i < farm.runs.size(); ++i) {
     const FarmThreadRun& t = farm.runs[i];
@@ -481,7 +518,9 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
   out << "    ],\n"
       << "    \"oracle_checksum\": " << farm.oracleChecksum << ",\n"
       << "    \"speedup_4_vs_1\": " << farm.speedup4v1() << ",\n"
-      << "    \"speedup_vs_batch64\": " << farmVsBatch << "\n"
+      << "    \"speedup_vs_batch64\": " << farmVsBatch << ",\n"
+      << "    \"efficiency_vs_capacity\": "
+      << (farm.capacity4v1 > 0 ? farmVsBatch / farm.capacity4v1 : 0) << "\n"
       << "  },\n";
   const double levelizedCps = runs.size() > 2 ? runs[2].cyclesPerSec() : 0;
   const double batchCps = runs.size() > 3 ? runs[3].cyclesPerSec() : 0;
@@ -693,7 +732,7 @@ int main(int argc, char** argv) {
   // Farm scaling sweep (1/2/4 threads, 4 blocks × 64 lanes) plus the
   // scalar-oracle checksum cross-check.
   FarmBenchResult farm;
-  if (!runFarmBench(g, cycles, farm)) return 1;
+  if (!runFarmBench(g, farm)) return 1;
 
   const double firing = runs[1].cyclesPerSec();
   const double speedupLevelized =
@@ -737,8 +776,10 @@ int main(int argc, char** argv) {
                 "%.3fs)\n",
                 t.threads, t.laneCyclesPerSec, farm.lanes, t.seconds);
   }
-  std::printf("farm 4t vs 1t:       %.2fx (%u host cores)\n",
-              farm.speedup4v1(), farm.hostCores);
+  std::printf("farm 4t vs 1t:       %.2fx (%u host cores, spin-loop "
+              "capacity %.2fx)\n",
+              farm.speedup4v1(), farm.hostCores, farm.capacity4v1);
+  std::printf("farm 4t vs batch-64: %.2fx\n", farmVsBatch);
   std::printf(
       "fault campaign     %12.0f faults/s  (%llu faults, %.0f%% lanes "
       "used, %.1f%% coverage)\n",

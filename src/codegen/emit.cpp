@@ -6,10 +6,10 @@
 
 #include "src/codegen/abi.h"
 #include "src/elab/netlist.h"
-#include "src/sim/levelized_evaluator.h"
 #include "src/sim/snapshot.h"
 #include "src/support/buildinfo.h"
 #include "src/support/trace.h"
+#include "src/transform/verify.h"
 
 namespace zeus::codegen {
 
@@ -60,8 +60,6 @@ struct Emitter {
   const EmitOptions& opts;
   EmitResult r;
 
-  std::vector<LevelizedEvaluator::Op> schedule;
-  std::vector<uint32_t> regIndexOf;
   std::vector<uint32_t> slotOf;
   uint32_t slots = 0;
   uint32_t randomNodes = 0;
@@ -93,46 +91,14 @@ struct Emitter {
   }
 
   bool buildSlots() {
-    schedule = LevelizedEvaluator::buildSchedule(g);
-    regIndexOf.assign(nl.nodeCount(), LevelizedEvaluator::kNotReg);
-    for (size_t k = 0; k < g.regNodes.size(); ++k) {
-      if (g.regNodes[k] >= nl.nodeCount()) {
-        return fail("register list references a node out of range");
-      }
-      regIndexOf[g.regNodes[k]] = static_cast<uint32_t>(k);
-    }
+    // The graph verifier owns the schedule's rules (every non-REG node
+    // and dense net exactly once, dependences respected); refuse any
+    // graph it rejects rather than emit a malformed engine.
+    std::string bad = verifyGraph(*g.design, g);
+    if (!bad.empty()) return fail("malformed graph (" + bad + ")");
     slotOf.assign(nl.nodeCount(), kNoSlot);
-    std::vector<char> resolved(g.denseCount, 0);
-    size_t resolves = 0;
-    for (const LevelizedEvaluator::Op& op : schedule) {
-      if (op.isNode) {
-        if (op.index >= nl.nodeCount()) {
-          return fail("schedule references node " + num(op.index) +
-                      " out of range");
-        }
-        if (nl.node(op.index).op == NodeOp::Reg) {
-          return fail("schedule fires a REG node");
-        }
-        if (slotOf[op.index] != kNoSlot) {
-          return fail("node " + num(op.index) + " scheduled twice");
-        }
-        slotOf[op.index] = slots++;
-      } else {
-        if (op.index >= g.denseCount || resolved[op.index]) {
-          return fail("net resolution schedule is inconsistent");
-        }
-        resolved[op.index] = 1;
-        ++resolves;
-      }
-    }
-    size_t nonReg = 0;
-    for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-      if (nl.node(ni).op != NodeOp::Reg) ++nonReg;
-    }
-    if (resolves != g.denseCount || slots != nonReg) {
-      return fail("incomplete levelized schedule (" + num(resolves) + "/" +
-                  num(g.denseCount) + " nets, " + num(slots) + "/" +
-                  num(nonReg) + " nodes): refusing to compile");
+    for (const SimGraph::Step& op : g.schedule) {
+      if (op.isNode) slotOf[op.index] = slots++;
     }
     return true;
   }
@@ -146,8 +112,8 @@ struct Emitter {
     for (uint32_t e = g.driverStart[i]; e < g.driverStart[i + 1]; ++e) {
       NodeId d = g.driverNodes[e];
       if (d >= nl.nodeCount()) return fail("driver node out of range");
-      uint32_t ri = regIndexOf[d];
-      if (ri != LevelizedEvaluator::kNotReg) {
+      uint32_t ri = g.regIndexOf[d];
+      if (ri != SimGraph::kNotReg) {
         contribs.push_back("reg[" + num(ri) + "]");
       } else {
         if (slotOf[d] == kNoSlot) {
@@ -283,7 +249,7 @@ struct Emitter {
     for (size_t i = 0; i < g.denseCount; ++i) {
       if (g.nets[i].multiDriven) ++cchecks;
     }
-    for (const LevelizedEvaluator::Op& op : schedule) {
+    for (const SimGraph::Step& op : g.schedule) {
       if (op.isNode) {
         ++fires;
         if (!emitNode(op.index)) return false;

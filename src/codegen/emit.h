@@ -1,7 +1,7 @@
 // Ahead-of-time C++ emitter for the levelized schedule.
 //
 // Walks the same interleaved resolve/evaluate schedule the levelized
-// interpreter executes (LevelizedEvaluator::buildSchedule) and emits one
+// interpreters execute (SimGraph::schedule) and emits one
 // straight-line, branch-minimized translation unit: a single evaluate
 // function operating directly on the 64-lane LanePlanes 2-bit encoding,
 // with the §8 contention rule, the per-lane RANDOM streams and the
@@ -11,9 +11,10 @@
 // given (graph, options, build stamp), so it doubles as the artifact
 // cache key material (src/codegen/compiled.h).
 //
-// The emitter REFUSES rather than guesses: a cyclic graph, an incomplete
-// schedule (some net never resolves or some node never fires) or a
-// malformed node arity yields ok=false with a structured error.  Callers
+// The emitter REFUSES rather than guesses: a cyclic graph, a graph the
+// post-pass verifier rejects (src/transform/verify.h: say, an incomplete
+// schedule) or a malformed node arity yields ok=false with a structured
+// error.  Callers
 // fall back to the interpreter; the fuzz harness (tools/zeus_fuzz.cpp)
 // feeds every elaboration survivor through here to keep that contract
 // crash-free.

@@ -60,6 +60,7 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
   std::vector<std::vector<std::pair<NodeId, uint32_t>>> consumerLists(
       g.denseCount);
   std::vector<std::vector<NodeId>> driverLists(g.denseCount);
+  g.regIndexOf.assign(nl.nodeCount(), SimGraph::kNotReg);
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
     const Node& node = nl.node(ni);
     if (node.output != kNoNet) {
@@ -71,8 +72,12 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
     for (uint32_t ii = 0; ii < node.inputs.size(); ++ii) {
       consumerLists[g.denseOf[node.inputs[ii]]].push_back({ni, ii});
     }
-    if (node.op == NodeOp::Reg) g.regNodes.push_back(ni);
-    else if (node.inputs.empty()) g.sourceNodes.push_back(ni);
+    if (node.op == NodeOp::Reg) {
+      g.regIndexOf[ni] = static_cast<uint32_t>(g.regNodes.size());
+      g.regNodes.push_back(ni);
+    } else if (node.inputs.empty()) {
+      g.sourceNodes.push_back(ni);
+    }
   }
   g.consumerStart.assign(g.denseCount + 1, 0);
   g.driverStart.assign(g.denseCount + 1, 0);
@@ -97,30 +102,27 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
         driverLists[i].size() + (g.nets[i].isInput ? 1 : 0) > 1;
   }
 
-  // Topological sort (Kahn) over non-REG nodes; net levels on the fly.
+  // Kahn walk over non-REG nodes, emitting resolve/evaluate steps as they
+  // become legal; net levels on the fly.
+  ZEUS_TRACE_SPAN("levelize", "compile");
+  g.schedule.reserve(nl.nodeCount() + g.denseCount);
   g.netLevel.assign(g.denseCount, 0);
   std::vector<uint32_t> netPending(g.denseCount);
   std::vector<uint32_t> nodePending(nl.nodeCount(), 0);
+  size_t nonRegNodes = 0;
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
     const Node& node = nl.node(ni);
     if (node.op == NodeOp::Reg) continue;
     nodePending[ni] = static_cast<uint32_t>(node.inputs.size());
+    ++nonRegNodes;
   }
-  size_t processedNodes = 0;
-  size_t nonRegNodes = 0;
-  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    if (nl.node(ni).op != NodeOp::Reg) ++nonRegNodes;
-  }
-  std::vector<char> nodeDone(nl.nodeCount(), 0);
   std::vector<uint32_t> nodeLevel(nl.nodeCount(), 0);
   for (size_t i = 0; i < g.denseCount; ++i) {
     netPending[i] = g.nets[i].nonRegDrivers;
   }
   // Source nodes (Const/Random) complete immediately.
   for (NodeId ni : g.sourceNodes) {
-    nodeDone[ni] = 1;
-    g.topoOrder.push_back(ni);
-    ++processedNodes;
+    g.schedule.push_back({ni, /*isNode=*/true});
     const Node& node = nl.node(ni);
     if (node.output != kNoNet) --netPending[g.denseOf[node.output]];
   }
@@ -131,6 +133,7 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
   while (!readyNets.empty()) {
     uint32_t net = readyNets.front();
     readyNets.pop_front();
+    g.schedule.push_back({net, /*isNode=*/false});
     uint32_t level = g.netLevel[net];
     g.maxLevel = std::max(g.maxLevel, level);
     for (uint32_t e = g.consumerStart[net]; e < g.consumerStart[net + 1];
@@ -140,9 +143,7 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
       if (node.op == NodeOp::Reg) continue;  // latches at end of cycle
       nodeLevel[ni] = std::max(nodeLevel[ni], level + 1);
       if (--nodePending[ni] == 0) {
-        nodeDone[ni] = 1;
-        g.topoOrder.push_back(ni);
-        ++processedNodes;
+        g.schedule.push_back({ni, /*isNode=*/true});
         if (node.output != kNoNet) {
           uint32_t on = g.denseOf[node.output];
           g.netLevel[on] = std::max(g.netLevel[on], nodeLevel[ni]);
@@ -151,14 +152,17 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
       }
     }
   }
-  if (processedNodes < nonRegNodes) {
+  // A node on a combinational cycle never fires, so its step is missing.
+  if (g.schedule.size() < nonRegNodes + g.denseCount) {
     g.hasCycle = true;
     // Report a user-visible signal on the loop if one exists (generated
     // gate nets are named "$...").
     NodeId report = kNoNet;
     for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
       const Node& node = nl.node(ni);
-      if (node.op == NodeOp::Reg || nodeDone[ni] || node.output == kNoNet)
+      // Unfinished nodes still wait on an input (sources never do).
+      if (node.op == NodeOp::Reg || nodePending[ni] == 0 ||
+          node.output == kNoNet)
         continue;
       if (report == kNoNet) report = ni;
       if (nl.net(nl.find(node.output)).name[0] != '$') {

@@ -1,7 +1,7 @@
 // The semantics graph (paper §8): the canonicalised netlist prepared for
 // evaluation — dense net numbering over alias-class roots, consumer edges,
-// combinational-cycle detection (REG is the only cycle breaker) and a
-// topological order for the naive evaluator and the SEQUENTIAL check.
+// combinational-cycle detection (REG is the only cycle breaker) and the
+// levelized schedule every engine walks.
 #pragma once
 
 #include <string>
@@ -51,7 +51,24 @@ struct SimGraph {
   std::vector<NodeId> regNodes;
   std::vector<NodeId> sourceNodes;  ///< Const / Random (no net inputs)
 
-  std::vector<NodeId> topoOrder;    ///< non-REG nodes, topological
+  /// One schedule step: resolve a dense net from its drivers, or
+  /// evaluate a node from its (already resolved) input nets.
+  struct Step {
+    uint32_t index;
+    bool isNode;
+  };
+  /// The single dependence order of the design, shared by every engine,
+  /// the optimizer's fold oracle, the verifier and the codegen emitter:
+  /// source nodes first in NodeId order (so RANDOM nodes draw the rng
+  /// stream in the same order everywhere), then each net's resolve step
+  /// once all its non-REG drivers have fired, and each non-REG node once
+  /// all its input nets have resolved.  Incomplete when hasCycle.
+  std::vector<Step> schedule;
+
+  /// regIndexOf value of a non-REG node.
+  static constexpr uint32_t kNotReg = 0xFFFFFFFFu;
+  std::vector<uint32_t> regIndexOf;  ///< NodeId -> index into regNodes
+
   std::vector<uint32_t> netLevel;   ///< per dense net, longest path depth
   uint32_t maxLevel = 0;
 

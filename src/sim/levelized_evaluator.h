@@ -1,13 +1,14 @@
 // Levelized evaluator: the cycle-compiled counterpart of the firing rules.
 //
-// The acyclic semantics graph is topologically levelized ONCE at
-// construction into a flat schedule of interleaved net-resolution and
-// node-evaluation steps.  A cycle is then one linear walk over dense
-// arrays — no worklist, no per-edge arrival events, no per-cycle
-// std::fill over the whole state: every slot is written before it is
-// read, and the few slots that need staleness protection (node outputs
-// read through driver edges) carry an epoch stamp instead of being
-// re-cleared.  The results are bit-identical to the firing evaluator.
+// The acyclic semantics graph carries one flat schedule of interleaved
+// net-resolution and node-evaluation steps (SimGraph::schedule, built
+// once by buildSimGraph and shared by every engine).  A cycle is one
+// linear walk over dense arrays — no worklist, no per-edge arrival
+// events, no per-cycle std::fill over the whole state: every slot is
+// written before it is read, and the few slots that need staleness
+// protection (node outputs read through driver edges) carry an epoch
+// stamp instead of being re-cleared.  The results are bit-identical to
+// the firing evaluator.
 //
 // On top of the same schedule sits a 64-wide batch mode: 64 independent
 // stimulus lanes are packed into two 64-bit planes per net (four-valued
@@ -27,16 +28,6 @@ namespace zeus {
 
 class LevelizedEvaluator {
  public:
-  /// One schedule step: resolve a dense net from its drivers, or
-  /// evaluate a node from its (already resolved) input nets.
-  struct Op {
-    uint32_t index;
-    bool isNode;
-  };
-
-  /// NodeId -> index into graph.regNodes, or kNotReg.
-  static constexpr uint32_t kNotReg = 0xFFFFFFFFu;
-
   explicit LevelizedEvaluator(const SimGraph& graph);
 
   void evaluate(const CycleSeeds& seeds, CycleResult& out);
@@ -45,21 +36,9 @@ class LevelizedEvaluator {
   /// Restores a previously captured counter state (snapshot resume).
   void setStats(const EvalStats& s) { stats_ = s; }
 
-  /// Builds the interleaved resolve/evaluate schedule with the same Kahn
-  /// walk as buildSimGraph.  Exposed so the codegen emitter
-  /// (src/codegen/emit.h) replays exactly this order — the compiled
-  /// engine's evaluation order, RANDOM draw order and stats constants all
-  /// derive from it.
-  [[nodiscard]] static std::vector<Op> buildSchedule(const SimGraph& graph);
-  [[nodiscard]] const std::vector<Op>& schedule() const { return schedule_; }
-
  private:
-  friend class LevelizedBatchEvaluator;
-
   const SimGraph& g_;
   EvalStats stats_;
-  std::vector<Op> schedule_;
-  std::vector<uint32_t> regIndexOf_;
 
   // Node outputs, epoch-stamped: an entry is valid only when its stamp
   // matches the current cycle's epoch, so nothing is re-filled per cycle.
@@ -125,7 +104,6 @@ class LevelizedBatchEvaluator {
 
  private:
   const SimGraph& g_;
-  LevelizedEvaluator scalar_;  ///< owns the shared schedule
   EvalStats stats_;
   std::vector<LanePlanes> nodeOut_;
   std::vector<uint64_t> nodeStamp_;

@@ -25,7 +25,9 @@ struct Cells {
 struct Registry {
   std::mutex mutex;
   std::vector<const char*> names;
-  std::vector<Cells*> threadCells;
+  std::vector<Cells*> threadCells;  ///< one per live thread that counted
+  std::vector<Cells*> freeCells;    ///< zeroed blocks of exited threads
+  Cells retired;  ///< totals folded in from exited threads
 };
 
 Registry& registry() {
@@ -36,14 +38,48 @@ Registry& registry() {
   return *r;
 }
 
+uint64_t sumLocked(const Registry& r, size_t id) {
+  uint64_t total = r.retired.v[id].load(std::memory_order_relaxed);
+  for (const Cells* c : r.threadCells) {
+    total += c->v[id].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+/// A thread's claim on one cell block.  On thread exit its counts fold
+/// into Registry::retired and the zeroed block goes back on the free
+/// list, so totals stay exact and the number of blocks never exceeds the
+/// peak number of threads alive at once.
+struct LocalCells {
+  Cells* cells;
+
+  LocalCells() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    if (r.freeCells.empty()) {
+      cells = new Cells;  // owned by the registry, never freed
+    } else {
+      cells = r.freeCells.back();
+      r.freeCells.pop_back();
+    }
+    r.threadCells.push_back(cells);
+  }
+
+  ~LocalCells() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    for (size_t i = 0; i < kMaxCounters; ++i) {
+      uint64_t n = cells->v[i].exchange(0, std::memory_order_relaxed);
+      if (n) r.retired.v[i].fetch_add(n, std::memory_order_relaxed);
+    }
+    std::erase(r.threadCells, cells);
+    r.freeCells.push_back(cells);
+  }
+};
+
 Cells& localCells() {
-  thread_local Cells* cells = [] {
-    auto* c = new Cells;  // leaked on purpose: outlives the thread
-    std::lock_guard<std::mutex> lock(registry().mutex);
-    registry().threadCells.push_back(c);
-    return c;
-  }();
-  return *cells;
+  thread_local LocalCells local;
+  return *local.cells;
 }
 
 }  // namespace
@@ -61,25 +97,23 @@ void Counter::add(uint64_t n) {
 
 uint64_t Counter::value() const {
   std::lock_guard<std::mutex> lock(registry().mutex);
-  uint64_t total = 0;
-  for (Cells* c : registry().threadCells) {
-    total += c->v[id_].load(std::memory_order_relaxed);
-  }
-  return total;
+  return sumLocked(registry(), id_);
 }
 
 std::vector<std::pair<std::string, uint64_t>> Counter::allValues() {
-  std::lock_guard<std::mutex> lock(registry().mutex);
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(registry().names.size());
-  for (size_t i = 0; i < registry().names.size(); ++i) {
-    uint64_t total = 0;
-    for (Cells* c : registry().threadCells) {
-      total += c->v[i].load(std::memory_order_relaxed);
-    }
-    out.emplace_back(registry().names[i], total);
+  out.reserve(r.names.size());
+  for (size_t i = 0; i < r.names.size(); ++i) {
+    out.emplace_back(r.names[i], sumLocked(r, i));
   }
   return out;
+}
+
+size_t Counter::cellBlocks() {
+  std::lock_guard<std::mutex> lock(registry().mutex);
+  return registry().threadCells.size() + registry().freeCells.size();
 }
 
 std::vector<PhaseTiming> phaseTimings() {

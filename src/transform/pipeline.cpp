@@ -258,8 +258,9 @@ OptReport optimizeDesign(Design& design, DiagnosticEngine& diags,
     report.passes.push_back(fold);
     optNodesFolded.add(fold.nodesFolded);
 
-    // Folding only removes edges, so the rebuild cannot find a new cycle.
-    g = buildSimGraph(design, diags);
+    // Folding rewrites node ops and inputs but no node output, so every
+    // driver list, dense slot and multiDriven flag DCE reads is unchanged
+    // and the graph built before the fold still serves it.
 
     PassStats dce;
     dce.pass = "dce";

@@ -147,67 +147,103 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
     }
   }
 
-  // --- node partition --------------------------------------------------
+  // --- node partition and register-index map -------------------------
   std::vector<char> seen(nl.nodeCount(), 0);
-  for (NodeId ni : g.regNodes) {
+  std::vector<uint32_t> wantRegIndex(nl.nodeCount(), SimGraph::kNotReg);
+  for (size_t k = 0; k < g.regNodes.size(); ++k) {
+    NodeId ni = g.regNodes[k];
     if (ni >= nl.nodeCount() || nl.node(ni).op != NodeOp::Reg) {
       return at("regNodes holds a non-REG node:", ni);
     }
     if (seen[ni]) return at("node listed twice:", ni);
     seen[ni] = 1;
+    wantRegIndex[ni] = static_cast<uint32_t>(k);
   }
-  NodeId prevSource = 0;
-  bool firstSource = true;
-  for (NodeId ni : g.sourceNodes) {
-    const Node& node = nl.node(ni);
-    if (node.op == NodeOp::Reg || !node.inputs.empty()) {
-      return at("sourceNodes holds a non-source node:", ni);
-    }
-    // The RANDOM stream contract: evaluators draw per-cycle randomness in
-    // sourceNodes order, which must be ascending NodeId order.
-    if (!firstSource && ni <= prevSource) {
-      return at("sourceNodes out of NodeId order at node", ni);
-    }
-    prevSource = ni;
-    firstSource = false;
-  }
-  std::vector<uint32_t> topoPos(nl.nodeCount(), 0);
-  for (size_t k = 0; k < g.topoOrder.size(); ++k) {
-    NodeId ni = g.topoOrder[k];
-    if (ni >= nl.nodeCount() || nl.node(ni).op == NodeOp::Reg) {
-      return at("topoOrder holds a REG or bad node:", ni);
-    }
-    if (seen[ni]) return at("node listed twice:", ni);
-    seen[ni] = 1;
-    topoPos[ni] = static_cast<uint32_t>(k);
-  }
-  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    if (!seen[ni]) return at("node missing from topoOrder/regNodes:", ni);
+  if (g.regIndexOf != wantRegIndex) {
+    return "regIndexOf disagrees with regNodes";
   }
 
-  // --- topological order and levels ------------------------------------
+  // --- the schedule: every non-REG node and dense net exactly once ------
+  constexpr uint32_t kUnplaced = 0xFFFFFFFFu;
+  std::vector<uint32_t> nodePos(nl.nodeCount(), kUnplaced);
+  std::vector<uint32_t> netPos(g.denseCount, kUnplaced);
+  for (size_t k = 0; k < g.schedule.size(); ++k) {
+    const SimGraph::Step& step = g.schedule[k];
+    if (step.isNode) {
+      if (step.index >= nl.nodeCount() ||
+          nl.node(step.index).op == NodeOp::Reg) {
+        return at("schedule evaluates a REG or bad node:", step.index);
+      }
+      if (seen[step.index]) return at("node listed twice:", step.index);
+      seen[step.index] = 1;
+      nodePos[step.index] = static_cast<uint32_t>(k);
+    } else {
+      if (step.index >= g.denseCount) {
+        return at("schedule resolves a bad net:", step.index);
+      }
+      if (netPos[step.index] != kUnplaced) {
+        return at("net resolved twice:", step.index);
+      }
+      netPos[step.index] = static_cast<uint32_t>(k);
+    }
+  }
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
+    if (!seen[ni]) return at("node missing from schedule/regNodes:", ni);
+  }
+  for (uint32_t dn = 0; dn < g.denseCount; ++dn) {
+    if (netPos[dn] == kUnplaced) return at("net never resolved:", dn);
+  }
+
+  // The RANDOM stream contract: every engine draws per-cycle randomness
+  // in source-node order, so sourceNodes holds every source node in
+  // ascending NodeId order and the schedule opens with them.
+  std::vector<NodeId> sources;
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
+    const Node& node = nl.node(ni);
+    if (node.op != NodeOp::Reg && node.inputs.empty()) sources.push_back(ni);
+  }
+  if (g.sourceNodes != sources) {
+    return "sourceNodes is not every source node in NodeId order";
+  }
+  for (size_t k = 0; k < sources.size(); ++k) {
+    if (!g.schedule[k].isNode || g.schedule[k].index != sources[k]) {
+      return at("schedule does not open with source node", sources[k]);
+    }
+  }
+
+  // --- dependences and levels ------------------------------------------
   if (g.netLevel.size() != g.denseCount) return "netLevel size mismatch";
   uint32_t maxLevel = 0;
   for (uint32_t dn = 0; dn < g.denseCount; ++dn) {
     maxLevel = std::max(maxLevel, g.netLevel[dn]);
   }
   if (maxLevel != g.maxLevel) return "maxLevel stale";
-  for (NodeId ni : g.topoOrder) {
+  for (const SimGraph::Step& step : g.schedule) {
+    if (!step.isNode) {
+      // A net resolves only after every non-REG driver has fired.
+      for (uint32_t e = g.driverStart[step.index];
+           e < g.driverStart[step.index + 1]; ++e) {
+        NodeId d = g.driverNodes[e];
+        if (nl.node(d).op != NodeOp::Reg &&
+            nodePos[d] >= netPos[step.index]) {
+          return at("schedule resolves a net before its driver: net",
+                    step.index);
+        }
+      }
+      continue;
+    }
+    NodeId ni = step.index;
     const Node& node = nl.node(ni);
-    if (node.output == kNoNet) continue;
-    uint32_t on = g.denseOf[node.output];
     for (NetId in : node.inputs) {
       uint32_t dn = g.denseOf[in];
-      if (g.netLevel[on] < g.netLevel[dn] + 1) {
-        return at("netLevel not monotone across node", ni);
+      // A node fires only after each of its input nets has resolved.
+      if (netPos[dn] >= nodePos[ni]) {
+        return at("schedule fires a node before its input resolves: node",
+                  ni);
       }
-      // Every non-REG driver of an input net must precede this node.
-      for (uint32_t e = g.driverStart[dn]; e < g.driverStart[dn + 1]; ++e) {
-        NodeId d = g.driverNodes[e];
-        if (nl.node(d).op == NodeOp::Reg) continue;
-        if (topoPos[d] >= topoPos[ni]) {
-          return at("topoOrder violates a dependence at node", ni);
-        }
+      if (node.output != kNoNet &&
+          g.netLevel[g.denseOf[node.output]] < g.netLevel[dn] + 1) {
+        return at("netLevel not monotone across node", ni);
       }
     }
   }

@@ -20,9 +20,12 @@ namespace zeus {
 ///     (exact node sets, exact input positions);
 ///   * NetInfo: nonRegDrivers / regDriven / isBool / isInput / multiDriven
 ///     equal a fresh recomputation over the netlist;
-///   * node partition: regNodes / sourceNodes / topoOrder cover every node
-///     exactly once, sourceNodes in NodeId order (the RANDOM stream
-///     contract), topoOrder topologically sorted;
+///   * node partition: regNodes and the schedule's node steps cover every
+///     node exactly once, sourceNodes in NodeId order (the RANDOM stream
+///     contract), regIndexOf the inverse of regNodes;
+///   * schedule: every dense net resolves exactly once, source nodes open
+///     it in NodeId order, a node fires after its input nets resolve and
+///     a net resolves after its non-REG drivers fire;
 ///   * netLevel is a longest-path labelling consistent with the edges.
 ///
 /// Returns "" when the graph is well-formed, else a one-line description

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/batch_sim.h"
+#include "src/sim/fault.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
 #include "tests/support/test_util.h"
@@ -135,6 +137,52 @@ TEST_F(TraceFixture, CompilePipelineEmitsPhaseSpans) {
   }
 }
 
+size_t spanCount(const char* name) {
+  size_t n = 0;
+  for (const trace::Event& e : trace::snapshot()) {
+    if (std::string(e.name) == name) ++n;
+  }
+  return n;
+}
+
+// The graph and its levelized schedule are built once per buildSimGraph
+// call; the optimizer builds at most twice and no engine re-levelizes.
+TEST_F(TraceFixture, ScheduleIsBuiltOncePerGraph) {
+  const char* src =
+      "TYPE t = COMPONENT (IN a: boolean; OUT q: boolean) IS\n"
+      "  SIGNAL r: REG;\n"
+      "BEGIN r.in := a; q := NOT r.out END;\nSIGNAL top: t;\n";
+  for (int level : {0, 1}) {
+    Built b = buildOk(src, "top");
+    trace::clear();
+    trace::setEnabled(true);
+    b.comp->optimize(*b.design, OptOptions{.level = level});
+    trace::setEnabled(false);
+    EXPECT_EQ(spanCount("graph-build"), level == 0 ? 1u : 2u)
+        << "-O" << level;
+    EXPECT_EQ(spanCount("levelize"), spanCount("graph-build"))
+        << "-O" << level;
+  }
+
+  Built b = buildOk(src, "top");
+  trace::clear();
+  trace::setEnabled(true);
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  EXPECT_EQ(spanCount("levelize"), 1u);
+  trace::clear();
+  {
+    Simulation sim(g, EvaluatorKind::Levelized);
+    BatchSimulation batch(g);
+    FaultCampaignOptions opts;
+    opts.cycles = 4;
+    FaultCampaignReport rep = runFaultCampaign(g, opts);
+    EXPECT_GT(rep.totalBatches, 0u);
+  }
+  trace::setEnabled(false);
+  EXPECT_EQ(spanCount("levelize"), 0u);
+  EXPECT_EQ(spanCount("graph-build"), 0u);
+}
+
 TEST(MetricsCounter, SumsAcrossThreads) {
   static metrics::Counter counter("test-counter");
   uint64_t before = counter.value();
@@ -149,6 +197,23 @@ TEST(MetricsCounter, SumsAcrossThreads) {
     if (name == "test-counter") found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(MetricsCounter, ExitedThreadsKeepTotalsAndRecycleTheirCells) {
+  static metrics::Counter counter("test-counter-short-lived");
+  std::thread([] { counter.add(1); }).join();
+  const uint64_t before = counter.value();
+  const size_t blocks = metrics::Counter::cellBlocks();
+  for (int i = 0; i < 64; ++i) {
+    std::thread([] { counter.add(1); }).join();
+  }
+  EXPECT_EQ(counter.value(), before + 64);
+  EXPECT_EQ(metrics::Counter::cellBlocks(), blocks);
+  uint64_t reported = 0;
+  for (const auto& [name, value] : metrics::Counter::allValues()) {
+    if (name == "test-counter-short-lived") reported = value;
+  }
+  EXPECT_EQ(reported, before + 64);
 }
 
 TEST(MetricsSim, CountersAndActivityFromARealRun) {

@@ -431,12 +431,121 @@ TEST(Verifier, RejectsTamperedGraphs) {
     h.maxLevel += 1;
     EXPECT_NE(verifyGraph(*b.design, h), "");
   }
-  {  // a node leaking out of the topoOrder partition
+  {  // a step leaking out of the schedule
     SimGraph h = g;
-    ASSERT_FALSE(h.topoOrder.empty());
-    h.topoOrder.pop_back();
+    ASSERT_FALSE(h.schedule.empty());
+    h.schedule.pop_back();
     EXPECT_NE(verifyGraph(*b.design, h), "");
   }
+}
+
+// One tamper case per schedule rule; each must be reported as a violation
+// of that rule.
+void expectRejected(const Design& d, const SimGraph& h, const char* what) {
+  std::string err = verifyGraph(d, h);
+  EXPECT_NE(err.find(what), std::string::npos)
+      << "expected '" << what << "', got '" << err << "'";
+}
+
+void moveStep(SimGraph& h, size_t from, size_t to) {
+  SimGraph::Step step = h.schedule[from];
+  h.schedule.erase(h.schedule.begin() + from);
+  h.schedule.insert(h.schedule.begin() + to, step);
+}
+
+TEST(Verifier, ChecksEveryScheduleRule) {
+  Built b = buildOk(kDeadwood, "top");
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  ASSERT_EQ(verifyGraph(*b.design, g), "");
+  const Netlist& nl = b.design->netlist;
+
+  {  // every non-REG node exactly once
+    SimGraph h = g;
+    auto node = std::find_if(h.schedule.begin(), h.schedule.end(),
+                             [](const SimGraph::Step& s) { return s.isNode; });
+    ASSERT_NE(node, h.schedule.end());
+    h.schedule.push_back(*node);
+    expectRejected(*b.design, h, "node listed twice");
+  }
+  {  // every dense net exactly once
+    SimGraph h = g;
+    auto net = std::find_if(h.schedule.begin(), h.schedule.end(),
+                            [](const SimGraph::Step& s) { return !s.isNode; });
+    ASSERT_NE(net, h.schedule.end());
+    h.schedule.push_back(*net);
+    expectRejected(*b.design, h, "net resolved twice");
+  }
+  {  // a node fires after the resolve step of each input net: move the
+     // first node with inputs to just before its first input's resolve
+    SimGraph h = g;
+    bool moved = false;
+    for (size_t k = 0; k < h.schedule.size() && !moved; ++k) {
+      if (!h.schedule[k].isNode) continue;
+      const Node& node = nl.node(h.schedule[k].index);
+      if (node.inputs.empty()) continue;
+      uint32_t in = h.dense(node.inputs[0]);
+      for (size_t p = 0; p < k; ++p) {
+        if (!h.schedule[p].isNode && h.schedule[p].index == in) {
+          moveStep(h, k, p);
+          moved = true;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(moved);
+    expectRejected(*b.design, h, "fires a node before its input resolves");
+  }
+  {  // a net resolves after every non-REG driver: move the resolve step
+     // of the first net a gate drives to just before that gate
+    SimGraph h = g;
+    bool moved = false;
+    for (size_t k = 0; k < h.schedule.size() && !moved; ++k) {
+      if (!h.schedule[k].isNode) continue;
+      const Node& node = nl.node(h.schedule[k].index);
+      if (node.inputs.empty() || node.output == kNoNet) continue;
+      uint32_t out = h.dense(node.output);
+      for (size_t p = k + 1; p < h.schedule.size(); ++p) {
+        if (!h.schedule[p].isNode && h.schedule[p].index == out) {
+          moveStep(h, p, k);
+          moved = true;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(moved);
+    expectRejected(*b.design, h, "resolves a net before its driver");
+  }
+  {  // the register-index map covers non-REG nodes too
+    SimGraph h = g;
+    h.regIndexOf[h.schedule[0].index] = 0;
+    expectRejected(*b.design, h, "regIndexOf disagrees with regNodes");
+  }
+
+  // The register-index map against a design that has a register.
+  Built r = buildOk(
+      "TYPE t = COMPONENT (IN a: boolean; OUT q: boolean) IS\n"
+      "  SIGNAL s: REG;\n"
+      "BEGIN s.in := a; q := NOT s.out END;\nSIGNAL top: t;\n",
+      "top");
+  SimGraph rg = buildSimGraph(*r.design, r.comp->diags());
+  ASSERT_EQ(verifyGraph(*r.design, rg), "");
+  ASSERT_EQ(rg.regNodes.size(), 1u);
+  rg.regIndexOf[rg.regNodes[0]] = SimGraph::kNotReg;
+  expectRejected(*r.design, rg, "regIndexOf disagrees with regNodes");
+}
+
+TEST(Verifier, RejectsSourcesOutOfOrderInTheSchedule) {
+  Built b = buildOk(kTwoRandoms, "top");
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  ASSERT_EQ(verifyGraph(*b.design, g), "");
+  ASSERT_TRUE(g.schedule[0].isNode && g.schedule[1].isNode);
+  SimGraph h = g;
+  std::swap(h.schedule[0], h.schedule[1]);
+  expectRejected(*b.design, h, "does not open with source node");
+  // A source node pushed behind a resolve step breaks the rule too.
+  h = g;
+  moveStep(h, 0, g.sourceNodes.size());
+  expectRejected(*b.design, h, "does not open with source node");
 }
 
 TEST(Verifier, RejectsReorderedRandomSources) {
