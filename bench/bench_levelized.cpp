@@ -616,36 +616,63 @@ double timeFacade(const zeus::SimGraph& g, uint64_t cycles, bool observed) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 int runOverhead(const zeus::SimGraph& g, uint64_t cycles,
                 const std::string& outPath) {
-  // Best-of-5, interleaved, so scheduler hiccups (or a parallel build on
-  // the same machine) cannot decide the comparison either way.
-  double bare = 1e99, disabled = 1e99, enabled = 1e99;
-  for (int rep = 0; rep < 5; ++rep) {
+  // Many short back-to-back bare/disabled pairs, alternating which side
+  // runs first, each judged by its own ratio: host drift moves both
+  // halves of a pair alike, and the median ignores the pairs a scheduler
+  // hiccup or a noisy neighbour hit.  Enough pairs to cover ~128k cycles
+  // a side, never fewer than 15, always odd.  Every reported figure is a
+  // median.
+  const int pairs =
+      std::max<int>(15, static_cast<int>((uint64_t{1} << 17) /
+                                         std::max<uint64_t>(cycles, 1))) |
+      1;
+  std::vector<double> bare, disabled, enabled, disabledRatio, enabledRatio;
+  for (int rep = 0; rep < pairs; ++rep) {
     zeus::trace::setEnabled(false);
-    bare = std::min(bare, timeBare(g, cycles));
-    disabled = std::min(disabled, timeFacade(g, cycles, false));
+    double b = 0, d = 0;
+    if (rep % 2 == 0) {
+      b = timeBare(g, cycles);
+      d = timeFacade(g, cycles, false);
+    } else {
+      d = timeFacade(g, cycles, false);
+      b = timeBare(g, cycles);
+    }
     zeus::trace::setEnabled(true);
-    enabled = std::min(enabled, timeFacade(g, cycles, true));
+    const double e = timeFacade(g, cycles, true);
+    bare.push_back(b);
+    disabled.push_back(d);
+    enabled.push_back(e);
+    disabledRatio.push_back(b > 0 ? d / b : 0);
+    enabledRatio.push_back(b > 0 ? e / b : 0);
   }
   zeus::trace::setEnabled(false);
-  const double disabledOverBare = bare > 0 ? disabled / bare : 0;
-  const double enabledOverBare = bare > 0 ? enabled / bare : 0;
+  const double bareMedian = median(bare);
+  const double disabledMedian = median(disabled);
+  const double enabledMedian = median(enabled);
+  const double disabledOverBare = median(disabledRatio);
+  const double enabledOverBare = median(enabledRatio);
 
   std::ofstream out(outPath);
   out << "{\n"
       << "  \"schema\": \"zeus-bench-overhead-v1\",\n"
       << "  \"cycles\": " << cycles << ",\n"
-      << "  \"bare_seconds\": " << bare << ",\n"
-      << "  \"disabled_seconds\": " << disabled << ",\n"
-      << "  \"enabled_seconds\": " << enabled << ",\n"
+      << "  \"bare_seconds\": " << bareMedian << ",\n"
+      << "  \"disabled_seconds\": " << disabledMedian << ",\n"
+      << "  \"enabled_seconds\": " << enabledMedian << ",\n"
       << "  \"disabled_over_bare\": " << disabledOverBare << ",\n"
       << "  \"enabled_over_bare\": " << enabledOverBare << "\n"
       << "}\n";
   std::printf("bare      %.6fs\ndisabled  %.6fs (%.3fx)\nenabled   %.6fs "
               "(%.3fx)\nwrote %s\n",
-              bare, disabled, disabledOverBare, enabled, enabledOverBare,
-              outPath.c_str());
+              bareMedian, disabledMedian, disabledOverBare, enabledMedian,
+              enabledOverBare, outPath.c_str());
   return 0;
 }
 

@@ -8,10 +8,12 @@ if(NOT BENCH OR NOT JSON)
   message(FATAL_ERROR "pass -DBENCH=<binary> and -DJSON=<output path>")
 endif()
 
-# Enough cycles that a run takes tens of milliseconds (timing noise on a
-# loaded CI box swamps microsecond-scale runs), small enough to stay fast.
+# Runs of a few milliseconds (microsecond-scale runs drown in timer and
+# scheduler noise), so that the ~129 bare/disabled pairs bench_levelized
+# takes at this size sit close together in time and the median of their
+# ratios shrugs off a loaded host.
 execute_process(
-  COMMAND ${BENCH} --overhead --cycles 8192 --width 32 --out ${JSON}
+  COMMAND ${BENCH} --overhead --cycles 1024 --width 32 --out ${JSON}
   RESULT_VARIABLE rv
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

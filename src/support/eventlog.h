@@ -9,23 +9,19 @@
 // one self-contained JSON object per line, so a service log can be
 // tailed, grepped and joined on "req" without parsing state.
 //
-// Concurrency contract — the same one as the trace buffer
-// (src/support/trace.h): emit() may run from any thread at any time.
-// Serialized lines collect in per-thread buffers under the buffer's own
-// (uncontended) mutex; clear()/setEnabled(false) bump a generation stamp
-// so an emit racing a clear drops its line instead of resurrecting it
-// into a buffer the caller believes is quiescent.  When neither the log
-// sink nor the flight recorder is on, emit() costs two relaxed atomic
-// loads and serializes nothing.
+// emit() may run from any thread at any time; lines collect in per-thread
+// telemetry slots under the contract in docs/observability.md ("Thread
+// safety").  When neither the log sink nor the flight recorder is on,
+// emit() costs two relaxed atomic loads and serializes nothing.
 //
 // The flight recorder (zeus::flightrec) is the part that survives a
 // crash: every emitted event is also pre-serialized into a bounded
-// global ring of fixed-size slots, and trace::Span keeps a per-thread
-// open-span stack beside it.  arm() installs SIGSEGV/SIGABRT handlers
-// that dump the ring + span stacks to a .zeus-crash.json file using only
-// async-signal-safe calls (open/write on pre-serialized bytes — no
-// malloc, no locks, no formatting); dumpNow() writes the same file from
-// normal context on SimWatchdog/budget faults.  A dead farm worker or
+// global ring of fixed-size slots, and trace::Span keeps an open-span
+// stack in each thread's telemetry slot.  arm() installs SIGSEGV/SIGABRT
+// handlers that dump the ring + span stacks to a .zeus-crash.json file
+// using only async-signal-safe calls (open/write on pre-serialized bytes
+// — no malloc, no locks, no formatting); dumpNow() writes the same file
+// from normal context on SimWatchdog/budget faults.  A dead farm worker or
 // serve request leaves a post-mortem either way.
 #pragma once
 
@@ -61,7 +57,7 @@ void setEnabled(bool on);
 [[nodiscard]] bool enabled();
 
 /// Discards every collected line (all threads).  Emits racing the clear
-/// drop their line (generation rule, as trace::clear()).
+/// drop their line.  Independent of trace::clear().
 void clear();
 
 /// Number of collected lines so far (all threads).

@@ -1,104 +1,49 @@
 #include "src/support/metrics.h"
 
-#include <array>
-#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <mutex>
 
 #include "src/support/buildinfo.h"
+#include "src/support/telemetry.h"
 #include "src/support/trace.h"
 
 namespace zeus::metrics {
 
 namespace {
 
-/// Fixed per-thread cell block: counter ids index into it directly, so
-/// add() never allocates or locks.  256 named counters is far above what
-/// the pipeline defines; the ctor asserts the cap.
-constexpr size_t kMaxCounters = 256;
-
-struct Cells {
-  std::array<std::atomic<uint64_t>, kMaxCounters> v{};
-};
-
 struct Registry {
   std::mutex mutex;
-  std::vector<const char*> names;
-  std::vector<Cells*> threadCells;  ///< one per live thread that counted
-  std::vector<Cells*> freeCells;    ///< zeroed blocks of exited threads
-  Cells retired;  ///< totals folded in from exited threads
+  std::vector<const char*> names;  ///< index = counter id = slot cell
 };
 
 Registry& registry() {
-  // Heap-allocated and never freed: the registry must stay alive past
-  // static destruction (worker-thread cells are reachable only through
-  // it, and LeakSanitizer scans after exit teardown).
-  static Registry* r = new Registry;
+  static Registry* r = new Registry;  // never freed: read at any add()
   return *r;
 }
 
-uint64_t sumLocked(const Registry& r, size_t id) {
-  uint64_t total = r.retired.v[id].load(std::memory_order_relaxed);
-  for (const Cells* c : r.threadCells) {
-    total += c->v[id].load(std::memory_order_relaxed);
-  }
+uint64_t sum(size_t id) {
+  uint64_t total = 0;
+  telemetry::forEachSlot([&total, id](telemetry::Slot& s) {
+    total += s.cells[id].load(std::memory_order_relaxed);
+  });
   return total;
-}
-
-/// A thread's claim on one cell block.  On thread exit its counts fold
-/// into Registry::retired and the zeroed block goes back on the free
-/// list, so totals stay exact and the number of blocks never exceeds the
-/// peak number of threads alive at once.
-struct LocalCells {
-  Cells* cells;
-
-  LocalCells() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    if (r.freeCells.empty()) {
-      cells = new Cells;  // owned by the registry, never freed
-    } else {
-      cells = r.freeCells.back();
-      r.freeCells.pop_back();
-    }
-    r.threadCells.push_back(cells);
-  }
-
-  ~LocalCells() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    for (size_t i = 0; i < kMaxCounters; ++i) {
-      uint64_t n = cells->v[i].exchange(0, std::memory_order_relaxed);
-      if (n) r.retired.v[i].fetch_add(n, std::memory_order_relaxed);
-    }
-    std::erase(r.threadCells, cells);
-    r.freeCells.push_back(cells);
-  }
-};
-
-Cells& localCells() {
-  thread_local LocalCells local;
-  return *local.cells;
 }
 
 }  // namespace
 
 Counter::Counter(const char* name) : name_(name) {
   std::lock_guard<std::mutex> lock(registry().mutex);
-  assert(registry().names.size() < kMaxCounters);
+  assert(registry().names.size() < telemetry::kMaxCounters);
   id_ = static_cast<uint32_t>(registry().names.size());
   registry().names.push_back(name);
 }
 
 void Counter::add(uint64_t n) {
-  localCells().v[id_].fetch_add(n, std::memory_order_relaxed);
+  telemetry::localSlot().cells[id_].fetch_add(n, std::memory_order_relaxed);
 }
 
-uint64_t Counter::value() const {
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  return sumLocked(registry(), id_);
-}
+uint64_t Counter::value() const { return sum(id_); }
 
 std::vector<std::pair<std::string, uint64_t>> Counter::allValues() {
   Registry& r = registry();
@@ -106,14 +51,9 @@ std::vector<std::pair<std::string, uint64_t>> Counter::allValues() {
   std::vector<std::pair<std::string, uint64_t>> out;
   out.reserve(r.names.size());
   for (size_t i = 0; i < r.names.size(); ++i) {
-    out.emplace_back(r.names[i], sumLocked(r, i));
+    out.emplace_back(r.names[i], sum(i));
   }
   return out;
-}
-
-size_t Counter::cellBlocks() {
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  return registry().threadCells.size() + registry().freeCells.size();
 }
 
 std::vector<PhaseTiming> phaseTimings() {

@@ -21,12 +21,13 @@
 
 namespace zeus::metrics {
 
-/// A process-wide named counter.  Increments go to a lock-free
-/// thread-local cell (plain ++ on already-registered threads); value()
-/// takes the registry lock and sums every live thread's cell plus the
-/// counts folded in from threads that have exited.  Intended for
-/// coarse pipeline totals (compilations run, designs elaborated), not
-/// per-cycle hot paths — those use the per-evaluator EvalStats.
+/// A process-wide named counter.  Increments go to a lock-free cell in
+/// the calling thread's telemetry slot (src/support/telemetry.h);
+/// value() sums that cell over every slot.  An exited thread's slot is
+/// reused with its cells intact, so no count is ever lost or folded.
+/// Intended for coarse pipeline totals (compilations run, designs
+/// elaborated), not per-cycle hot paths — those use the per-evaluator
+/// EvalStats.
 class Counter {
  public:
   /// `name` must be a string literal (stored by pointer).
@@ -38,11 +39,6 @@ class Counter {
 
   /// Every registered counter with its current value, for reports.
   static std::vector<std::pair<std::string, uint64_t>> allValues();
-
-  /// Per-thread cell blocks allocated so far (live plus recycled).  A
-  /// thread's block is recycled when it exits, so this is bounded by the
-  /// peak number of threads that counted at once.
-  static size_t cellBlocks();
 
  private:
   const char* name_;

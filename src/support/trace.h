@@ -11,15 +11,13 @@
 //   * runtime: while tracing is not enabled (the default) a span is one
 //     relaxed atomic load and no clock reads — nothing is allocated and
 //     nothing is locked;
-//   * enabled: events append to a thread-local buffer under that buffer's
-//     own (uncontended) mutex; the registry lock is taken once per thread
-//     and at render/clear time.
+//   * enabled: a span takes the calling thread's telemetry slot mutex
+//     (uncontended) at open and at close, and appends there.
 //
-// Thread-safety contract (docs/observability.md): every function here may
-// be called from any thread at any time.  A span that is still open when
-// clear() or setEnabled(false) runs records NOTHING when it closes — the
-// buffers stay empty after a clear even if worker spans straddle it, so
-// phaseTimings never sees resurrected events.
+// Thread-safety contract (docs/observability.md, "Thread safety"): every
+// function here may be called from any thread at any time.  A span that
+// is still open when clear() or setEnabled(false) runs records NOTHING
+// when it closes, so phaseTimings never sees resurrected events.
 //
 // Spans are deliberately phase-grained, never per-cycle or per-node: the
 // simulation hot loops stay untouched (per-cycle observability is the
@@ -58,6 +56,8 @@ struct Event {
 };
 
 /// Snapshot of all recorded events, merged across threads in start order.
+/// Spans that start in the same microsecond keep the order they opened
+/// in (per thread; threads in tid order).
 [[nodiscard]] std::vector<Event> snapshot();
 
 /// Renders the Chrome trace_event JSON object:
@@ -80,7 +80,8 @@ class Span {
   const char* name_;
   const char* category_;
   uint64_t startUs_;  ///< 0 = tracing was off at entry; record nothing
-  uint64_t epoch_;    ///< buffer generation at entry; stale = dropped
+  uint64_t epoch_;    ///< span generation at entry; stale = dropped
+  size_t index_;      ///< records in this thread's slot at entry
   bool frPushed_;     ///< on the flight-recorder open-span stack
 };
 

@@ -1,6 +1,7 @@
 // Event-log and flight-recorder unit tests: zeus-log-v1 line shape,
-// request-id tagging, the clear/disable generation rule (same contract
-// as the trace buffer), and the crash-ring dump from normal context.
+// request-id tagging, the clear/disable generation rule, the crash-ring
+// dump from normal context, and that the dump's open spans come from the
+// same per-thread slots (and tids) as the trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -237,6 +238,77 @@ TEST(FlightRecorder, SpanStackPushPopBalance) {
   std::stringstream ss2;
   ss2 << in2.rdbuf();
   EXPECT_EQ(ss2.str().find("\"name\": \"outer\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The integer after `key` at or after `from` in `text`, or -1.
+long long numberAfter(const std::string& text, size_t from,
+                      const std::string& key) {
+  const size_t at = text.find(key, from);
+  if (from == std::string::npos || at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
+
+TEST(FlightRecorder, OpenSpanTidIsTheTraceTid) {
+  LogGuard guard;
+  const std::string path = testing::TempDir() + "/zeus_flightrec_tid.json";
+  trace::setEnabled(true);
+  // A thread traces before the recorder is armed, then dumps with a span
+  // open: both artifacts must name it by the same tid.
+  auto probe = [&path] {
+    trace::clear();
+    std::thread([&path] {
+      { trace::Span warm("tid-warm", "test"); }
+      flightrec::arm(path.c_str());
+      trace::Span open("tid-open", "test");
+      EXPECT_TRUE(flightrec::dumpNow("budget"));
+    }).join();
+    const std::string dump = readFile(path);
+    const std::string chrome = trace::renderChromeJson();
+    const size_t open = dump.find("\"name\": \"tid-open\"");
+    ASSERT_NE(open, std::string::npos) << dump;
+    const long long dumpTid =
+        numberAfter(dump, dump.rfind("\"tid\": ", open), "\"tid\": ");
+    EXPECT_EQ(numberAfter(chrome, chrome.find("\"name\":\"tid-warm\""),
+                          "\"tid\":"),
+              dumpTid);
+    EXPECT_EQ(numberAfter(chrome, chrome.find("\"name\":\"tid-open\""),
+                          "\"tid\":"),
+              dumpTid);
+    flightrec::disarm();
+  };
+  probe();
+  // A thread that only traces, between two probes: two independent
+  // numberings of threads could agree on one probe by accident, not on
+  // both.
+  std::thread([] { trace::Span only("trace-only", "test"); }).join();
+  probe();
+  trace::setEnabled(false);
+  trace::clear();
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, ShortLivedThreadsLeaveRoomForNewOpenSpans) {
+  LogGuard guard;
+  const std::string path =
+      testing::TempDir() + "/zeus_flightrec_short_lived.json";
+  flightrec::arm(path.c_str());
+  for (int i = 0; i < 70; ++i) {
+    std::thread([] { trace::Span s("short-lived", "test"); }).join();
+  }
+  std::thread([] {
+    trace::Span open("after-short-lived", "test");
+    EXPECT_TRUE(flightrec::dumpNow("budget"));
+  }).join();
+  EXPECT_NE(readFile(path).find("\"name\": \"after-short-lived\""),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

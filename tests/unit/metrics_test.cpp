@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/batch_sim.h"
 #include "src/sim/fault.h"
+#include "src/support/eventlog.h"
 #include "src/support/metrics.h"
+#include "src/support/telemetry.h"
 #include "src/support/trace.h"
 #include "tests/support/test_util.h"
 
@@ -107,13 +110,21 @@ TEST_F(TraceFixture, PhaseTimingsAggregateByNameAndCategory) {
   { ZEUS_TRACE_SPAN("parse", "compile"); }
   { ZEUS_TRACE_SPAN("parse", "compile"); }
   { ZEUS_TRACE_SPAN("elab", "compile"); }
+  {
+    // Usually opened in the same microsecond: the enclosing span, which
+    // opened first, must still come first.
+    ZEUS_TRACE_SPAN("optimize", "compile");
+    ZEUS_TRACE_SPAN("graph-build", "compile");
+  }
   trace::setEnabled(false);
   std::vector<metrics::PhaseTiming> timings = metrics::phaseTimings();
-  ASSERT_EQ(timings.size(), 2u);
+  ASSERT_EQ(timings.size(), 4u);
   EXPECT_EQ(timings[0].name, "parse");
   EXPECT_EQ(timings[0].count, 2u);
   EXPECT_EQ(timings[1].name, "elab");
   EXPECT_EQ(timings[1].count, 1u);
+  EXPECT_EQ(timings[2].name, "optimize");
+  EXPECT_EQ(timings[3].name, "graph-build");
 }
 
 TEST_F(TraceFixture, CompilePipelineEmitsPhaseSpans) {
@@ -201,19 +212,61 @@ TEST(MetricsCounter, SumsAcrossThreads) {
 
 TEST(MetricsCounter, ExitedThreadsKeepTotalsAndRecycleTheirCells) {
   static metrics::Counter counter("test-counter-short-lived");
+  auto reported = [] {
+    for (const auto& [name, value] : metrics::Counter::allValues()) {
+      if (name == "test-counter-short-lived") return value;
+    }
+    return uint64_t{0};
+  };
   std::thread([] { counter.add(1); }).join();
   const uint64_t before = counter.value();
-  const size_t blocks = metrics::Counter::cellBlocks();
+  const size_t slots = telemetry::slotCount();
   for (int i = 0; i < 64; ++i) {
     std::thread([] { counter.add(1); }).join();
   }
   EXPECT_EQ(counter.value(), before + 64);
-  EXPECT_EQ(metrics::Counter::cellBlocks(), blocks);
-  uint64_t reported = 0;
-  for (const auto& [name, value] : metrics::Counter::allValues()) {
-    if (name == "test-counter-short-lived") reported = value;
+  EXPECT_EQ(telemetry::slotCount(), slots);
+  EXPECT_EQ(reported(), before + 64);
+
+  // With every sink on, each short-lived thread also closes a span and
+  // emits a log line: all of it stays visible and still no slot is added.
+  const std::string dump =
+      testing::TempDir() + "/zeus_metrics_short_lived.json";
+  trace::setEnabled(true);
+  trace::clear();
+  eventlog::setEnabled(true);
+  eventlog::clear();
+  flightrec::arm(dump.c_str());
+  for (int i = 0; i < 64; ++i) {
+    std::thread([] {
+      trace::Span span("short-lived", "test");
+      eventlog::emit(eventlog::Severity::Info, "test", "short-lived");
+      counter.add(1);
+    }).join();
   }
-  EXPECT_EQ(reported, before + 64);
+  const std::vector<trace::Event> spans = trace::snapshot();
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const trace::Event& e) {
+                            return std::string(e.name) == "short-lived";
+                          }),
+            64);
+  const std::string jsonl = eventlog::renderJsonl();
+  size_t lines = 0;
+  for (size_t at = jsonl.find("\"ev\": \"short-lived\"");
+       at != std::string::npos;
+       at = jsonl.find("\"ev\": \"short-lived\"", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 64u);
+  EXPECT_EQ(counter.value(), before + 128);
+  EXPECT_EQ(reported(), before + 128);
+  EXPECT_EQ(telemetry::slotCount(), slots);
+  flightrec::disarm();
+  eventlog::setEnabled(false);
+  eventlog::clear();
+  trace::setEnabled(false);
+  trace::clear();
+  std::remove(dump.c_str());
 }
 
 TEST(MetricsSim, CountersAndActivityFromARealRun) {
