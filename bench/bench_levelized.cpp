@@ -47,6 +47,8 @@ struct RunResult {
   double seconds = 0;
   uint64_t checksum = 0;  ///< sum of `s` outputs over all lane cycles
   zeus::metrics::SimCounters counters;  ///< embedded in BENCH_sim.json
+  /// Batch rows only: the layer split of one evaluated cycle, in µs.
+  double inputUs = 0, stepUs = 0, outputUs = 0;
 
   [[nodiscard]] double cyclesPerSec() const {
     return seconds > 0 ? static_cast<double>(laneCycles) / seconds : 0;
@@ -102,20 +104,36 @@ RunResult runBatch(const zeus::SimGraph& g, int width, uint64_t cycles,
   r.name = name;
   r.lanes = kLanes;
   sim.setInputAll("cin", zeus::Logic::Zero);
+  const zeus::BatchSimulation::PortHandle a = sim.port("a"), b = sim.port("b"),
+                                          s = sim.port("s");
   const uint64_t evalCycles = (cycles + kLanes - 1) / kLanes;
+  double inputS = 0, stepS = 0, outputS = 0;
   const Clock::time_point t0 = Clock::now();
   for (uint64_t i = 0; i < evalCycles; ++i) {
+    const Clock::time_point tIn = Clock::now();
     for (size_t l = 0; l < kLanes; ++l) {
       uint64_t x = xorshift(rng);
-      sim.setInputUint(l, "a", x & mask);
-      sim.setInputUint(l, "b", (x >> 17) & mask);
+      sim.setInputUint(l, a, x & mask);
+      sim.setInputUint(l, b, (x >> 17) & mask);
     }
+    const Clock::time_point tStep = Clock::now();
     sim.step();
+    const Clock::time_point tOut = Clock::now();
     for (size_t l = 0; l < kLanes; ++l) {
-      r.checksum += *sim.outputUint(l, "s");
+      r.checksum += *sim.outputUint(l, s);
     }
+    const Clock::time_point tEnd = Clock::now();
+    inputS += std::chrono::duration<double>(tStep - tIn).count();
+    stepS += std::chrono::duration<double>(tOut - tStep).count();
+    outputS += std::chrono::duration<double>(tEnd - tOut).count();
   }
   r.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  if (evalCycles > 0) {
+    const double perCycleUs = 1e6 / static_cast<double>(evalCycles);
+    r.inputUs = inputS * perCycleUs;
+    r.stepUs = stepS * perCycleUs;
+    r.outputUs = outputS * perCycleUs;
+  }
   r.evaluatedCycles = evalCycles;
   r.laneCycles = evalCycles * kLanes;
   r.counters = sim.metricsCounters();
@@ -443,6 +461,17 @@ std::string jsonEscape(const std::string& s) {
   return out;
 }
 
+/// The layer split of a batch row ("" for scalar rows).
+std::string layersJson(const RunResult& r) {
+  if (r.lanes <= 1) return "";
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                ", \"layers_us\": {\"input\": %.3f, \"step\": %.3f, "
+                "\"output\": %.3f}",
+                r.inputUs, r.stepUs, r.outputUs);
+  return buf;
+}
+
 void emitJson(const std::string& path, int width, uint64_t cycles,
               const std::vector<RunResult>& runs,
               const CampaignResult& campaign, const OptBenchResult& opt,
@@ -464,7 +493,8 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
         << ", \"lane_cycles\": " << r.laneCycles
         << ", \"seconds\": " << r.seconds
         << ", \"cycles_per_sec\": " << r.cyclesPerSec()
-        << ", \"checksum\": " << r.checksum << ",\n     \"metrics\": "
+        << ", \"checksum\": " << r.checksum << layersJson(r)
+        << ",\n     \"metrics\": "
         << zeus::metrics::simCountersJson(r.counters) << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
@@ -520,7 +550,8 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
       << "    \"speedup_4_vs_1\": " << farm.speedup4v1() << ",\n"
       << "    \"speedup_vs_batch64\": " << farmVsBatch << ",\n"
       << "    \"efficiency_vs_capacity\": "
-      << (farm.capacity4v1 > 0 ? farmVsBatch / farm.capacity4v1 : 0) << "\n"
+      << (farm.capacity4v1 > 0 ? farm.speedup4v1() / farm.capacity4v1 : 0)
+      << "\n"
       << "  },\n";
   const double levelizedCps = runs.size() > 2 ? runs[2].cyclesPerSec() : 0;
   const double batchCps = runs.size() > 3 ? runs[3].cyclesPerSec() : 0;
@@ -545,7 +576,8 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
       << ", \"lane_cycles\": " << cg.batch.laneCycles
       << ", \"seconds\": " << cg.batch.seconds
       << ", \"cycles_per_sec\": " << cg.batch.cyclesPerSec()
-      << ", \"checksum\": " << cg.batch.checksum << ",\n     \"metrics\": "
+      << ", \"checksum\": " << cg.batch.checksum << layersJson(cg.batch)
+      << ",\n     \"metrics\": "
       << zeus::metrics::simCountersJson(cg.batch.counters) << "},\n"
       << "    \"checksum_equal\": " << (cg.checksumEqual ? "true" : "false")
       << ",\n"
@@ -778,6 +810,11 @@ int main(int argc, char** argv) {
     std::printf("%-18s %12.0f cycles/s  (%llu lane-cycles in %.3fs)\n",
                 r.name.c_str(), r.cyclesPerSec(),
                 static_cast<unsigned long long>(r.laneCycles), r.seconds);
+    if (r.lanes > 1) {
+      std::printf("%-18s input %.2f / step %.2f / output %.2f us per batch "
+                  "cycle\n",
+                  "", r.inputUs, r.stepUs, r.outputUs);
+    }
   }
   std::printf("levelized vs firing: %.2fx\n", speedupLevelized);
   std::printf("batch-64  vs firing: %.2fx\n", speedupBatch);
@@ -806,7 +843,7 @@ int main(int argc, char** argv) {
   std::printf("farm 4t vs 1t:       %.2fx (%u host cores, spin-loop "
               "capacity %.2fx)\n",
               farm.speedup4v1(), farm.hostCores, farm.capacity4v1);
-  std::printf("farm 4t vs batch-64: %.2fx\n", farmVsBatch);
+  std::printf("farm 4t vs batch-64: %.2fx (reference only)\n", farmVsBatch);
   std::printf(
       "fault campaign     %12.0f faults/s  (%llu faults, %.0f%% lanes "
       "used, %.1f%% coverage)\n",

@@ -100,6 +100,16 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 
+# The batch row carries its per-cycle layer split (input I/O, engine
+# step, output I/O).
+foreach(layer input step output)
+  string(JSON v ERROR_VARIABLE jerr GET "${content}" evaluators 3 layers_us
+         ${layer})
+  if(jerr OR v LESS 0)
+    message(FATAL_ERROR "levelized-batch layers_us.${layer} = '${v}' ${jerr}")
+  endif()
+endforeach()
+
 foreach(field speedup_levelized_vs_firing speedup_batch_vs_firing)
   string(JSON v ERROR_VARIABLE jerr GET "${content}" ${field})
   if(jerr)
@@ -219,23 +229,26 @@ foreach(i RANGE ${tlast})
             "farm checksum at ${tthreads} thread(s) = ${tsum} != scalar oracle ${foracle}")
   endif()
 endforeach()
+# The speedup is the farm's 4-thread row over its own 1-thread row: the
+# same blocks, cycles per lane and I/O path, so only the threads differ.
 # The bar is relative to the host's measured capacity (capacity_4_vs_1,
 # a spin-loop probe of 4 threads over 1): a host whose probe reaches 3.5x
-# must show >= 2.5x over the 64-lane batch, and a host with less real
-# capacity must turn the same 2.5/3.5 share of it into farm throughput
-# (efficiency_vs_capacity = speedup_vs_batch64 / capacity_4_vs_1).
+# must show >= 2.5x, and a host with less real capacity must turn the
+# same 2.5/3.5 share of it into farm throughput (efficiency_vs_capacity
+# = speedup_4_vs_1 / capacity_4_vs_1).  speedup_vs_batch64 is recorded
+# for reference only.
 string(JSON fcores GET "${content}" farm host_cores)
-string(JSON fspeed GET "${content}" farm speedup_vs_batch64)
+string(JSON fspeed GET "${content}" farm speedup_4_vs_1)
 string(JSON fcap GET "${content}" farm capacity_4_vs_1)
 string(JSON feff GET "${content}" farm efficiency_vs_capacity)
 if(fcores GREATER_EQUAL 4)
   if(fcap GREATER_EQUAL 3.5 AND fspeed LESS 2.5)
     message(FATAL_ERROR
-            "farm 4-thread speedup over the 64-lane batch is ${fspeed} (< 2.5) on a ${fcores}-core host with spin-loop capacity ${fcap}x")
+            "farm 4-thread speedup over 1 thread is ${fspeed} (< 2.5) on a ${fcores}-core host with spin-loop capacity ${fcap}x")
   endif()
   if(fcap LESS 3.5 AND feff LESS 0.7143)
     message(FATAL_ERROR
-            "farm 4-thread speedup over the 64-lane batch is ${fspeed}, ${feff} of the host's spin-loop capacity ${fcap}x (< 2.5/3.5) on a ${fcores}-core host")
+            "farm 4-thread speedup over 1 thread is ${fspeed}, ${feff} of the host's spin-loop capacity ${fcap}x (< 2.5/3.5) on a ${fcores}-core host")
   endif()
 else()
   message(STATUS "farm speedup check skipped: only ${fcores} host core(s)")

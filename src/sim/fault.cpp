@@ -55,10 +55,12 @@ std::vector<Observable> observableOutputs(const SimGraph& g) {
   return out;
 }
 
-std::vector<const Port*> stimulusInputs(const SimGraph& g) {
-  std::vector<const Port*> in;
-  for (const Port& p : g.design->ports) {
-    if (p.mode == ast::ParamMode::In) in.push_back(&p);
+/// Handles of the IN ports, in declaration order.
+std::vector<BatchSimulation::PortHandle> stimulusInputs(const SimGraph& g) {
+  std::vector<BatchSimulation::PortHandle> in;
+  const std::vector<Port>& ports = g.design->ports;
+  for (uint32_t i = 0; i < ports.size(); ++i) {
+    if (ports[i].mode == ast::ParamMode::In) in.push_back({i});
   }
   return in;
 }
@@ -229,7 +231,8 @@ FaultCampaignReport runFaultCampaign(const SimGraph& graph,
   }
 
   const std::vector<Observable> outputs = observableOutputs(graph);
-  const std::vector<const Port*> inputs = stimulusInputs(graph);
+  const std::vector<BatchSimulation::PortHandle> inputs =
+      stimulusInputs(graph);
   const Netlist& nl = graph.design->netlist;
   auto netName = [&](uint32_t dn) { return nl.net(graph.rootOf[dn]).name; };
 
@@ -267,15 +270,12 @@ FaultCampaignReport runFaultCampaign(const SimGraph& graph,
 
     for (uint64_t c = 0; c < opts.cycles; ++c) {
       batch.setRset(c == 0);  // cycle 0 is the reset pulse
-      for (const Port* p : inputs) {
-        std::vector<Logic> bits(p->nets.size());
+      for (BatchSimulation::PortHandle p : inputs) {
         uint64_t word = 0;
-        for (size_t b = 0; b < bits.size(); ++b) {
+        for (size_t b = 0; b < batch.portWidth(p); ++b) {
           if (b % 64 == 0) word = xorshift(rng);
-          bits[b] = logicFromBool((word >> (b % 64)) & 1);
-        }
-        for (size_t lane = 0; lane <= n; ++lane) {
-          batch.setInput(lane, p->name, bits);
+          const uint64_t all = (word >> (b % 64)) & 1 ? ~uint64_t{0} : 0;
+          batch.setInputPlanes(p, b, ~uint64_t{0}, {~all, all});
         }
       }
       batch.step(1);

@@ -62,11 +62,33 @@ struct LanePlanes {
 };
 
 /// Packs one scalar Logic into all lanes of `mask`.
-LanePlanes lanesBroadcast(Logic v, uint64_t mask);
-/// Extracts one lane's Logic value.
-Logic laneValue(const LanePlanes& p, uint32_t lane);
+inline LanePlanes lanesBroadcast(Logic v, uint64_t mask) {
+  switch (v) {
+    case Logic::Zero: return {mask, 0};
+    case Logic::One: return {0, mask};
+    case Logic::Undef: return {mask, mask};
+    case Logic::NoInfl: return {0, 0};
+  }
+  return {mask, mask};
+}
+/// Extracts one lane's Logic value.  A table over the lane's (p1, p0)
+/// bits: GCC 12 at -O2 miscompiles two extracted plane bools compared
+/// against each other once this is inlined.
+inline Logic laneValue(const LanePlanes& p, uint32_t lane) {
+  static constexpr Logic kByBits[4] = {Logic::NoInfl, Logic::Zero,
+                                       Logic::One, Logic::Undef};
+  return kByBits[((p.p0 >> lane) & 1) | (((p.p1 >> lane) & 1) << 1)];
+}
+/// Sets the lanes in `lanes` of `planes` to v's (other lanes untouched).
+inline void setLanes(LanePlanes& planes, uint64_t lanes, LanePlanes v) {
+  planes.p0 = (planes.p0 & ~lanes) | (v.p0 & lanes);
+  planes.p1 = (planes.p1 & ~lanes) | (v.p1 & lanes);
+}
 /// Sets one lane of `planes` to `v` (other lanes untouched).
-void laneSet(LanePlanes& planes, uint32_t lane, Logic v);
+inline void laneSet(LanePlanes& planes, uint32_t lane, Logic v) {
+  const uint64_t bit = uint64_t{1} << lane;
+  setLanes(planes, bit, lanesBroadcast(v, bit));
+}
 
 struct BatchSeeds {
   /// Per dense net: externally driven lanes; lanes not driving a net
